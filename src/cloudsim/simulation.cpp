@@ -286,7 +286,7 @@ SimulationResult run_cloud_simulation(const CloudSimConfig& config) {
   const double cal_interval = config.calibration_interval_hours * 3600.0;
   for (double t = cal_interval; t <= arrival_horizon; t += cal_interval) {
     events.schedule_at(t, [&] {
-      fleet.recalibrate_all(rng, events.now());
+      fleet = fleet.recalibrated(rng, events.now());
       if (config.policy == SchedulingPolicy::kQonductor && config.calibration_crossover) {
         // Partition every queue at the calibration boundary: unstarted jobs
         // are re-estimated and re-scheduled under the fresh calibration.

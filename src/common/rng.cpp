@@ -118,4 +118,10 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
 
 Rng Rng::split() { return Rng((*this)()); }
 
+Rng Rng::stream(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
+  std::uint64_t with_a = splitmix64(seed) ^ a;
+  std::uint64_t with_b = splitmix64(with_a) ^ b;
+  return Rng(splitmix64(with_b));
+}
+
 }  // namespace qon

@@ -76,6 +76,11 @@ class Rng {
   /// worker / simulation entity its own stream.
   Rng split();
 
+  /// A counter-based stream keyed by (seed, a, b) through SplitMix64: its
+  /// draws depend only on the key, never on how many draws any other
+  /// stream made — e.g. one stream per (deployment seed, run, DAG node).
+  static Rng stream(std::uint64_t seed, std::uint64_t a, std::uint64_t b);
+
  private:
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;

@@ -117,23 +117,23 @@ enum class LockRank : int {
   /// whose nesting is externally constrained (none in-tree today).
   kUnranked = 0,
 
-  /// Qonductor::engine_mutex_ — the data-plane execution lock (fleet
-  /// virtual clock, shared RNG, hidden noise). Outermost: scheduling
-  /// snapshots and quantum execution acquire the reservation, monitor and
-  /// thread-pool locks inside it.
+  /// Qonductor::engine_mutex_ — the QPU timelines and the fleet virtual
+  /// clock: slot reservation, clock advance, reservation expiry and
+  /// scheduling snapshots. Outermost: those acquire the reservation,
+  /// monitor and fleet-generation locks inside it. Simulation runs after
+  /// it is released.
   kEngine = 100,
   /// Qonductor::reservations_mutex_ — §7 reservation windows. Inside
   /// kEngine (expire_reservations runs under the snapshot's engine lock),
   /// outside kMonitor (the flag flip happens under it).
   kReservations = 200,
   /// api::RunState::mutex — one per run record. Outside kRunTable
-  /// (settle_run calls mark_terminal under the record lock) and outside
-  /// kMonitor (a mark_terminal eviction erases monitor entries).
+  /// (settle_run calls mark_terminal under the record lock).
   kRunState = 300,
   /// core::RunTable::mutex_ — the run-record table structure.
   kRunTable = 400,
   /// core::SystemMonitor::mutex_ — serializes the KV backend. Inside
-  /// kEngine, kReservations and kRunState (see above); a leaf otherwise.
+  /// kEngine and kReservations (see above); a leaf otherwise.
   kMonitor = 500,
   /// obs::MetricsRegistry::mutex_ — metric registration + snapshot. Must
   /// rank BELOW kPendingQueue/kRunEngine/kSchedulerStats: snapshot() polls
@@ -184,14 +184,18 @@ enum class LockRank : int {
   /// those components hold their own (lower-ranked) locks, and the only
   /// lock ever taken inside it is kLogging.
   kTraceBuffer = 880,
-  /// ThreadPool::mutex_ — task queue of the worksharing pool. Inside
-  /// kEngine: NSGA-II fitness evaluation and state-vector simulation
-  /// parallel_for under the engine lock.
+  /// ThreadPool::mutex_ — task queue of the worksharing pool. NSGA-II
+  /// fitness evaluation (scheduler thread) and state-vector simulation
+  /// (engine workers, after the engine lock is released) parallel_for
+  /// under no component lock; high rank so that stays legal if one does.
   kThreadPool = 900,
   /// join_mutex_ of ThreadPool / RunEngine / SchedulerService — serializes
   /// concurrent shutdown(); held only while joining, after the component's
   /// own lock is released.
   kShutdownJoin = 950,
+  /// Qonductor::fleet_mutex_ — the calibration generation pointer. Leaf:
+  /// held only to copy or swap one shared_ptr (under kEngine, kPrepCache).
+  kFleetGeneration = 970,
   /// The logging I/O lock — the innermost leaf, so diagnostics can be
   /// emitted while holding anything.
   kLogging = 1000,

@@ -30,10 +30,6 @@ std::string priority_label(std::size_t p) {
 
 }  // namespace
 
-const char* workflow_status_name(WorkflowStatus status) {
-  return api::run_status_name(status);
-}
-
 api::Status validate_admission_config(const AdmissionConfig& config) {
   if (config.max_live_runs == 0) return api::Status::Ok();  // gate disabled
   // The negated comparisons also reject NaN.
@@ -70,10 +66,6 @@ Qonductor::Qonductor(QonductorConfig config)
       run_table_(config.retention),
       telemetry_(config.telemetry) {
   templates_ = fleet_.template_backends();
-  // GC follows the record: when the run table evicts a terminal run, its
-  // status entry leaves the system monitor too.
-  run_table_.set_eviction_observer(
-      [this](RunId run) { monitor_.erase_workflow_status(run); });
   {
     // Construction is single-threaded, but qpu_available_at_ and the fleet
     // publish are engine-guarded state: taking the (uncontended) engine
@@ -81,7 +73,7 @@ Qonductor::Qonductor(QonductorConfig config)
     // instead of carving out a trust-me exception for the constructor.
     MutexLock lock(engine_mutex_);
     qpu_available_at_.assign(fleet_.backends.size(), 0.0);
-    publish_fleet_state();
+    publish_fleet_locked(std::make_shared<const qpu::Fleet>(fleet_));
   }
 
   // Registry instruments, registered family-by-family so the Prometheus
@@ -266,24 +258,33 @@ void Qonductor::advanceFleetClock(double up_to) {
 
 void Qonductor::recalibrateFleet() {
   MutexLock lock(engine_mutex_);
-  fleet_.recalibrate_all(rng_, fleet_clock_.load(std::memory_order_relaxed));
-  publish_fleet_state();
+  publish_fleet_locked(std::make_shared<const qpu::Fleet>(
+      current_fleet()->recalibrated(rng_, fleet_clock_.load(std::memory_order_relaxed))));
 }
 
-void Qonductor::publish_fleet_state() {
-  for (std::size_t q = 0; q < fleet_.backends.size(); ++q) {
-    const auto& backend = *fleet_.backends[q];
-    QpuInfo info;
-    info.name = backend.name();
-    info.qubits = backend.num_qubits();
-    info.queue_wait_seconds = qpu_available_at_[q];
-    info.mean_gate_error_2q = backend.calibration().mean_gate_error_2q();
-    info.calibration_cycle = backend.calibration().cycle;
-    // Health and reservation are owned by set_qpu_online/set_qpu_reserved;
-    // the monitor merges them in atomically so a concurrent reserve or
-    // fault cannot be lost to this republish.
-    monitor_.publish_qpu_dynamic(info);
-  }
+std::shared_ptr<const qpu::Fleet> Qonductor::current_fleet() const {
+  MutexLock lock(fleet_mutex_);
+  return fleet_gen_;
+}
+
+void Qonductor::publish_fleet_locked(std::shared_ptr<const qpu::Fleet> fleet) {
+  for (std::size_t q = 0; q < fleet->backends.size(); ++q) publish_qpu_locked(q, *fleet);
+  MutexLock lock(fleet_mutex_);
+  fleet_gen_ = std::move(fleet);
+}
+
+void Qonductor::publish_qpu_locked(std::size_t q, const qpu::Fleet& fleet) {
+  const auto& backend = *fleet.backends[q];
+  QpuInfo info;
+  info.name = backend.name();
+  info.qubits = backend.num_qubits();
+  info.queue_wait_seconds = qpu_available_at_[q];
+  info.mean_gate_error_2q = backend.calibration().mean_gate_error_2q();
+  info.calibration_cycle = backend.calibration().cycle;
+  // Health and reservation are owned by set_qpu_online/set_qpu_reserved;
+  // the monitor merges them in atomically so a concurrent reserve or fault
+  // cannot be lost to this republish.
+  monitor_.publish_qpu_dynamic(info);
 }
 
 std::vector<sched::QpuState> Qonductor::snapshot_qpu_states_locked(
@@ -440,12 +441,12 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
     state->submitted_at = submitted_at;
   }
   const RunId run = run_table_.insert(state);
-  monitor_.set_workflow_status(run, api::run_status_name(api::RunStatus::kPending));
   auto cont = std::make_shared<RunContinuation>();
   cont->state = state;
   cont->image = image;
   cont->order = image->dag.topological_order();
   cont->finish.assign(image->dag.size(), 0.0);
+  cont->submitted_at = submitted_at;
   cont->result.run = run;
   if (telemetry_.tracing_enabled()) {
     // The trace starts before the engine submit so the submit point is
@@ -471,7 +472,6 @@ api::Result<api::RunHandle> Qonductor::start_run(const workflow::WorkflowImage* 
       state->result.error = api::Unavailable("executor shutting down");
     }
     state->cv.notify_all();
-    monitor_.erase_workflow_status(run);
     return api::Unavailable("invoke: run engine is shutting down, run " +
                             std::to_string(run) + " rejected");
   }
@@ -721,7 +721,7 @@ api::Result<api::ReserveQpuResponse> Qonductor::reserveQpu(
   // the reservation epoch and its deadline change together: an expiry
   // sweep can never observe (and release) a half-installed reservation.
   // The monitor's own mutex nests inside; the flag flip itself stays
-  // atomic against publish_fleet_state and device-manager health writes.
+  // atomic against publish_qpu_locked and device-manager health writes.
   MutexLock lock(reservations_mutex_);
   const auto previous = monitor_.set_qpu_reserved(request.qpu, true);
   if (!previous) {
@@ -835,15 +835,7 @@ StepOutcome Qonductor::settle_run(const std::shared_ptr<RunContinuation>& cont) 
   const RunId run = state->id;
   const api::RunStatus terminal = cont->result.status;  // moved below
   cont->result.run = run;
-  // The monitor write must precede mark_terminal: the instant the run is
-  // GC-eligible a concurrent eviction may erase the monitor entry, and a
-  // later write would resurrect it unerasable.
-  monitor_.set_workflow_status(run, api::run_status_name(terminal));
-  double submitted_at = 0.0;
-  {
-    MutexLock lock(state->mutex);
-    submitted_at = state->submitted_at;
-  }
+  const double submitted_at = cont->submitted_at;
   // The run's terminal virtual instant derives from its OWN events — the
   // task makespan for executed nodes, the cycle-verdict instant for a task
   // failed in scheduling — never from the fleet frontier: the frontier
@@ -968,7 +960,6 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
       return settle_run(cont);
     }
     state->cv.notify_all();
-    monitor_.set_workflow_status(run, api::run_status_name(api::RunStatus::kRunning));
     cont->started = true;
   }
 
@@ -1007,13 +998,13 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     try {
       const double exec_wall_start =
           cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
-      TaskResult tr;
+      QpuSlot slot;
       {
         MutexLock lock(engine_mutex_);
-        tr = execute_quantum_locked(
-            task, *prep, static_cast<std::size_t>(pending->assigned_qpu), ready_at,
-            pending->dispatched_at);
+        slot = reserve_slot_locked(*prep, static_cast<std::size_t>(pending->assigned_qpu),
+                                   ready_at, pending->dispatched_at);
       }
+      TaskResult tr = execute_on_slot(task, *prep, slot, Rng::stream(config_.seed, run, node));
       if (cont->trace) {
         cont->trace->record(telemetry_.tracer().span(
             "qpu_exec", tr.start, tr.end, exec_wall_start, "resource=" + tr.resource));
@@ -1050,7 +1041,7 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
   const workflow::TaskId node = cont->order[cont->cursor];
   const auto& task = cont->image->dag.task(node);
   if (config_.on_task_start) config_.on_task_start(run, task.name);
-  double ready = 0.0;
+  double ready = cont->submitted_at;
   for (const workflow::TaskId dep : cont->image->dag.dependencies(node)) {
     ready = std::max(ready, cont->finish[dep]);
   }
@@ -1063,7 +1054,7 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
     const double exec_wall_start =
         cont->trace ? telemetry_.tracer().wall_now_us() : 0.0;
     api::Result<TaskResult> executed = task.kind == workflow::TaskKind::kQuantum
-                                           ? run_quantum_immediate(state, task, ready)
+                                           ? run_quantum_immediate(state, task, node, ready)
                                            : run_classical_task(task, ready);
     if (!executed.ok()) {
       return settle_task_failure(cont, task.name, executed.status());
@@ -1081,29 +1072,22 @@ StepOutcome Qonductor::step_run_impl(const std::shared_ptr<RunContinuation>& con
   return StepOutcome::kProgress;
 }
 
-std::uint64_t Qonductor::calibration_fingerprint() const {
-  // FNV-style combine over per-backend calibration cycles: any single
-  // recalibration moves the fingerprint and invalidates the prep cache.
-  std::uint64_t fp = 1469598103934665603ULL;
-  for (const auto& backend : fleet_.backends) {
-    fp ^= backend->calibration().cycle + 0x9e3779b97f4a7c15ULL + (fp << 6) + (fp >> 2);
-  }
-  return fp;
-}
-
 std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
     const workflow::HybridTask& task) const {
-  // Pure function of the (immutable) circuit, the backends and their
-  // calibrations — so a burst of runs of one image shares a single prep
+  // Pure function of the (immutable) circuit and one calibration
+  // generation — so a burst of runs of one image shares a single prep
   // instead of re-transpiling per run. Keyed by the task's address: the
   // registry is append-only, so task addresses are stable and unique.
-  const std::uint64_t fingerprint = calibration_fingerprint();
+  std::shared_ptr<const qpu::Fleet> fleet;
   {
     MutexLock lock(prep_cache_mutex_);
-    if (fingerprint != prep_cache_fingerprint_) {
+    // Read under the cache lock, so the cached generation only moves
+    // forward: a caller holding an older generation cannot roll it back.
+    fleet = current_fleet();
+    if (fleet != prep_cache_fleet_) {
       prep_cache_.clear();  // fleet recalibrated: every estimate is stale
       prep_cache_order_.clear();
-      prep_cache_fingerprint_ = fingerprint;
+      prep_cache_fleet_ = fleet;
     }
     const auto it = prep_cache_.find(&task);
     if (it != prep_cache_.end()) {
@@ -1114,8 +1098,8 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
   prep_cache_misses_->inc();
 
   auto prep = std::make_shared<QuantumTaskPrep>();
-  prep->transpiled.reserve(fleet_.backends.size());
-  for (const auto& backend : fleet_.backends) {
+  prep->transpiled.reserve(fleet->backends.size());
+  for (const auto& backend : fleet->backends) {
     prep->transpiled.push_back(transpiler::transpile(task.circ, *backend));
     const auto& t = prep->transpiled.back();
     const auto sig = mitigation::compute_signature(
@@ -1130,7 +1114,7 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
   }
 
   MutexLock lock(prep_cache_mutex_);
-  if (fingerprint != prep_cache_fingerprint_) {
+  if (fleet != prep_cache_fleet_) {
     // Recalibrated while we were transpiling: serve this prep to the
     // caller (its estimates matched the inputs it saw) but don't cache it.
     return prep;
@@ -1148,19 +1132,31 @@ std::shared_ptr<const QuantumTaskPrep> Qonductor::prepare_quantum_task(
   return it->second;
 }
 
-TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
-                                             const QuantumTaskPrep& prep, std::size_t q,
-                                             double ready_at, double not_before) {
-  const auto& backend = *fleet_.backends[q];
-  const auto& chosen = prep.transpiled[q];
+Qonductor::QpuSlot Qonductor::reserve_slot_locked(const QuantumTaskPrep& prep, std::size_t q,
+                                                  double ready_at, double not_before) {
+  QpuSlot slot;
+  slot.index = q;
+  slot.start = std::max({ready_at, qpu_available_at_[q], not_before});
+  slot.end = slot.start + prep.est_exec_seconds[q];
+  qpu_available_at_[q] = slot.end;
+  advance_fleet_clock(slot.end);
+  slot.fleet = current_fleet();
+  publish_qpu_locked(q, *slot.fleet);
+  return slot;
+}
+
+TaskResult Qonductor::execute_on_slot(const workflow::HybridTask& task,
+                                      const QuantumTaskPrep& prep, const QpuSlot& slot,
+                                      Rng rng) const {
+  const auto& backend = *slot.fleet->backends[slot.index];
+  const auto& chosen = prep.transpiled[slot.index];
 
   TaskResult result;
   result.name = task.name;
   result.kind = workflow::TaskKind::kQuantum;
   result.resource = backend.name();
-  result.start = std::max({ready_at, qpu_available_at_[q], not_before});
-  result.end = result.start + prep.est_exec_seconds[q];
-  qpu_available_at_[q] = result.end;
+  result.start = slot.start;
+  result.end = slot.end;
 
   // Count active qubits to decide between exact trajectory simulation and
   // the analytic ground-truth model.
@@ -1182,20 +1178,18 @@ TaskResult Qonductor::execute_quantum_locked(const workflow::HybridTask& task,
   if (n_active <= config_.trajectory_width_limit && !sig.cuts_circuit) {
     sim::TrajectoryOptions opts;
     opts.delay_dephasing_residual = sig.delay_dephasing_residual;
-    result.counts = sim::run_noisy(chosen.circuit, backend, task.shots, rng_, hidden_, opts);
+    result.counts = sim::run_noisy(chosen.circuit, backend, task.shots, rng, hidden_, opts);
     const double raw =
         sim::hellinger_fidelity(result.counts, sim::ideal_distribution(task.circ));
     result.fidelity = mitigation::mitigated_fidelity(raw, sig);
   } else {
     result.fidelity = estimator::executed_fidelity(chosen.circuit, backend, sig, hidden_,
-                                                   1.08, task.shots, rng_);
+                                                   1.08, task.shots, rng);
   }
   result.cost_dollars = estimator::job_cost_dollars(
-      prep.est_exec_seconds[q],
+      prep.est_exec_seconds[slot.index],
       sig.classical_preprocess_seconds + sig.classical_postprocess_seconds, task.accelerator,
       config_.plan_config.prices);
-  advance_fleet_clock(result.end);
-  publish_fleet_state();
   return result;
 }
 
@@ -1303,55 +1297,47 @@ StepOutcome Qonductor::park_quantum_task(const std::shared_ptr<RunContinuation>&
 
 api::Result<TaskResult> Qonductor::run_quantum_immediate(
     const std::shared_ptr<api::RunState>& state, const workflow::HybridTask& task,
-    double ready_at) {
-  const RunId run = state->id;
+    workflow::TaskId node, double ready_at) {
   // Effective per-run QoS: fidelity_weight was resolved at invoke().
   const api::JobPreferences& prefs = state->preferences;
   const std::shared_ptr<const QuantumTaskPrep> prep = prepare_quantum_task(task);
 
-  // A single-job scheduling cycle inline, with queue waits measured
-  // relative to the task's own ready time. Reservation windows expire
-  // against the monotone fleet-clock frontier only — one job's late DAG
-  // ready time must not release a window early for every concurrent run.
-  MutexLock lock(engine_mutex_);
-  expire_reservations(fleet_clock_.load(std::memory_order_relaxed));
-  if (prefs.deadline_seconds) {
-    // Dispatch-time deadline check, mirroring the batch path: dispatch
-    // happens at the fleet frontier (or the task's ready time, whichever
-    // is later), and a task at or past its deadline must not consume a QPU
-    // — dispatching exactly at the deadline leaves zero slack, the same
-    // inclusive boundary the submit-time admission and cycle expiry use.
-    const double dispatch_at =
-        std::max(ready_at, fleet_clock_.load(std::memory_order_relaxed));
-    if (*prefs.deadline_seconds <= dispatch_at) {
-      return api::DeadlineExceeded(
-          "run_quantum_immediate: task '" + task.name + "' missed its deadline (t=" +
-          std::to_string(*prefs.deadline_seconds) + " s, dispatched at t=" +
-          std::to_string(dispatch_at) + " s)");
+  QpuSlot slot;
+  {
+    // A single-job placement inline, with queue waits measured relative to
+    // the task's own ready time. Reservation windows expire against the
+    // monotone fleet-clock frontier only — one job's late DAG ready time
+    // must not release a window early for every concurrent run.
+    MutexLock lock(engine_mutex_);
+    expire_reservations(fleet_clock_.load(std::memory_order_relaxed));
+    if (prefs.deadline_seconds) {
+      // Dispatch-time deadline check, mirroring the batch path: dispatch
+      // happens at the fleet frontier (or the task's ready time, if later);
+      // a task at or past its deadline must not consume a QPU — the same
+      // inclusive boundary the submit-time admission and cycle expiry use.
+      const double dispatch_at =
+          std::max(ready_at, fleet_clock_.load(std::memory_order_relaxed));
+      if (*prefs.deadline_seconds <= dispatch_at) {
+        return api::DeadlineExceeded(
+            "run_quantum_immediate: task '" + task.name + "' missed its deadline (t=" +
+            std::to_string(*prefs.deadline_seconds) + " s, dispatched at t=" +
+            std::to_string(dispatch_at) + " s)");
+      }
     }
+    sched::QuantumJob job;
+    job.qubits = task.circ.num_qubits();
+    job.fidelity_weight = prefs.fidelity_weight;  // resolved at invoke()
+    job.est_fidelity = prep->est_fidelity;
+    job.est_exec_seconds = prep->est_exec_seconds;
+    const int q = sched::place_single_job(snapshot_qpu_states_locked(ready_at), job,
+                                          config_.fidelity_weight);
+    if (q < 0) {
+      return api::ResourceExhausted("run_quantum_immediate: task '" + task.name +
+                                    "' fits no online QPU in the fleet");
+    }
+    slot = reserve_slot_locked(*prep, static_cast<std::size_t>(q), ready_at, 0.0);
   }
-  sched::SchedulingInput input;
-  input.qpus = snapshot_qpu_states_locked(ready_at);
-  sched::QuantumJob job;
-  job.id = run;
-  job.qubits = task.circ.num_qubits();
-  job.shots = task.shots;
-  job.fidelity_weight = *prefs.fidelity_weight;  // resolved at invoke()
-  job.est_fidelity = prep->est_fidelity;
-  job.est_exec_seconds = prep->est_exec_seconds;
-  input.jobs.push_back(std::move(job));
-
-  sched::SchedulerConfig scheduler;
-  scheduler.fidelity_weight = config_.fidelity_weight;
-  scheduler.nsga2.seed = rng_();
-  const auto decision = sched::schedule_cycle(input, scheduler);
-  if (decision.assignment.empty() || decision.assignment[0] < 0) {
-    return api::ResourceExhausted("run_quantum_immediate: task '" + task.name +
-                                  "' fits no online QPU in the fleet");
-  }
-  return execute_quantum_locked(task, *prep,
-                                static_cast<std::size_t>(decision.assignment[0]),
-                                ready_at, 0.0);
+  return execute_on_slot(task, *prep, slot, Rng::stream(config_.seed, state->id, node));
 }
 
 api::Result<TaskResult> Qonductor::run_classical_task(const workflow::HybridTask& task,

@@ -83,8 +83,6 @@ using TaskResult = api::TaskResult;
 using WorkflowResult = api::WorkflowResult;
 using SchedulingMode = api::SchedulingMode;
 
-const char* workflow_status_name(WorkflowStatus status);
-
 /// Per-backend transpilation + resource estimates for one quantum task —
 /// everything a scheduling cycle needs to know about the job, computed
 /// outside the engine lock (the inputs are immutable). Shared between the
@@ -274,6 +272,9 @@ class Qonductor {
   sched::ScheduleDecision generateSchedule(const sched::SchedulingInput& input) const;
 
   // -- introspection -------------------------------------------------------------
+  /// The construction-time fleet: backend names, sizes and topology, which
+  /// every calibration generation shares. recalibrateFleet() publishes a
+  /// new generation instead of mutating this one.
   const qpu::Fleet& fleet() const { return fleet_; }
   SystemMonitor& monitor() { return monitor_; }
   const std::vector<sched::ClassicalNode>& nodes() const { return nodes_; }
@@ -292,9 +293,10 @@ class Qonductor {
   /// scheduler stamps submissions and deadlines against.
   void advanceFleetClock(double up_to) EXCLUDES(engine_mutex_);
   /// Re-draws calibration for the whole fleet at the current virtual
-  /// instant and republishes QPU state — the campaign `recalibrate` churn
-  /// event. The calibration fingerprint moves, so the transpile/prep cache
-  /// invalidates itself on the next run.
+  /// instant, publishes it as a new immutable generation and republishes
+  /// QPU state — the campaign `recalibrate` churn event. Tasks already
+  /// executing keep the generation their slot was reserved on; the prep
+  /// cache invalidates itself on the next run.
   void recalibrateFleet() EXCLUDES(engine_mutex_);
   /// The batch-scheduling job manager, null in kImmediate mode. Non-const
   /// like monitor(): owner-level access (tests use it to force shutdown
@@ -362,23 +364,32 @@ class Qonductor {
                                 const workflow::HybridTask& task, double ready_at);
   /// Books the finished node into the continuation and advances the cursor.
   void record_task_result(RunContinuation& cont, workflow::TaskId node, TaskResult tr);
-  /// The kImmediate fallback: a single-job scheduling cycle inline.
+  /// The kImmediate fallback: exact single-job placement inline.
   api::Result<TaskResult> run_quantum_immediate(const std::shared_ptr<api::RunState>& state,
                                                 const workflow::HybridTask& task,
-                                                double ready_at);
+                                                workflow::TaskId node, double ready_at);
   api::Result<TaskResult> run_classical_task(const workflow::HybridTask& task,
                                              double ready_at);
   std::shared_ptr<const QuantumTaskPrep> prepare_quantum_task(
       const workflow::HybridTask& task) const;
-  /// Hash of every backend's calibration cycle — the freshness half of the
-  /// prep-cache key (a recalibration invalidates all cached preps).
-  std::uint64_t calibration_fingerprint() const;
-  /// Executes the prepared task on backend `q`. `not_before` floors the
+  /// A QPU window reserved under the engine lock + the calibration
+  /// generation the task executes against.
+  struct QpuSlot {
+    std::size_t index = 0;
+    double start = 0.0;
+    double end = 0.0;
+    std::shared_ptr<const qpu::Fleet> fleet;
+  };
+  /// Books backend `q`'s timeline for the prepared task, advances the
+  /// fleet clock and republishes that one QPU. `not_before` floors the
   /// start time at the dispatching cycle's fire time (0 in immediate mode).
-  TaskResult execute_quantum_locked(const workflow::HybridTask& task,
-                                    const QuantumTaskPrep& prep, std::size_t q,
-                                    double ready_at, double not_before)
-      REQUIRES(engine_mutex_);
+  QpuSlot reserve_slot_locked(const QuantumTaskPrep& prep, std::size_t q, double ready_at,
+                              double not_before) REQUIRES(engine_mutex_);
+  /// Executes the prepared task in its slot, outside every lock, drawing
+  /// only from `rng` (the task's own stream): the outcome depends on the
+  /// task and its QPU, never on which worker got there first.
+  TaskResult execute_on_slot(const workflow::HybridTask& task, const QuantumTaskPrep& prep,
+                             const QpuSlot& slot, Rng rng) const;
   /// QPU states for a scheduling input (queue waits relative to
   /// `reference`, online flags from the monitor).
   std::vector<sched::QpuState> snapshot_qpu_states_locked(double reference) const
@@ -389,13 +400,26 @@ class Qonductor {
   /// cycle already schedules onto the released QPUs. Acquires
   /// reservations_mutex_ (inside engine_mutex_ in the hierarchy).
   void expire_reservations(double now) EXCLUDES(reservations_mutex_);
-  void publish_fleet_state() REQUIRES(engine_mutex_);
+  /// Installs `fleet` as the current calibration generation and
+  /// republishes every QPU from it.
+  void publish_fleet_locked(std::shared_ptr<const qpu::Fleet> fleet) REQUIRES(engine_mutex_);
+  void publish_qpu_locked(std::size_t q, const qpu::Fleet& fleet) REQUIRES(engine_mutex_);
+  std::shared_ptr<const qpu::Fleet> current_fleet() const EXCLUDES(fleet_mutex_);
   void advance_fleet_clock(double up_to) REQUIRES(engine_mutex_);
 
   QonductorConfig config_;
+  /// Draws recalibrateFleet()'s calibration drift. Task execution never
+  /// touches it: each task draws from Rng::stream(seed, run, node).
   Rng rng_ GUARDED_BY(engine_mutex_);
-  sim::HiddenNoise hidden_ GUARDED_BY(engine_mutex_);
+  /// Immutable after construction (factor() is a pure function of its
+  /// arguments), so executions read it concurrently without a lock.
+  const sim::HiddenNoise hidden_;
+  /// Never mutated after construction; see fleet().
   qpu::Fleet fleet_;
+  /// The current calibration generation: recalibrateFleet() swaps in a new
+  /// fleet of fresh backends; a published one is never mutated.
+  mutable Mutex fleet_mutex_{LockRank::kFleetGeneration, "Qonductor::fleet_mutex_"};
+  std::shared_ptr<const qpu::Fleet> fleet_gen_ GUARDED_BY(fleet_mutex_);
   std::vector<qpu::Backend> templates_;
   std::vector<sched::ClassicalNode> nodes_;
   workflow::WorkflowRegistry registry_ GUARDED_BY(registry_mutex_);
@@ -413,10 +437,10 @@ class Qonductor {
   /// pointers obtained under this lock stay valid for the orchestrator's
   /// lifetime.
   mutable Mutex registry_mutex_{LockRank::kRegistry, "Qonductor::registry_mutex_"};
-  /// Serializes data-plane task execution: the fleet virtual clock
-  /// (qpu_available_at_), the shared RNG and the hidden-noise model.
-  /// Outermost lock of the hierarchy: execution takes the reservation,
-  /// monitor and thread-pool locks inside it.
+  /// Guards the QPU timelines (qpu_available_at_), fleet-clock advance,
+  /// reservation expiry and scheduling snapshots. Outermost lock of the
+  /// hierarchy: those take the reservation, monitor and fleet-generation
+  /// locks inside it. Simulation runs after it is released.
   Mutex engine_mutex_{LockRank::kEngine, "Qonductor::engine_mutex_"};
 
   /// The telemetry bundle (registry + tracer). Declared before the
@@ -452,8 +476,8 @@ class Qonductor {
 
   /// Cache of per-backend transpilation + estimates keyed by task identity
   /// (registry task addresses are stable — the registry is append-only)
-  /// and invalidated wholesale when the fleet calibration fingerprint
-  /// moves. A burst of runs of one image transpiles its circuits once.
+  /// and invalidated wholesale when a new calibration generation is
+  /// published. A burst of runs of one image transpiles its circuits once.
   /// Bounded: at most kPrepCacheCapacity tasks, oldest-inserted evicted
   /// first — the registry is unbounded, so the cache must not mirror it.
   static constexpr std::size_t kPrepCacheCapacity = 512;
@@ -463,7 +487,8 @@ class Qonductor {
   /// FIFO eviction order.
   mutable std::deque<const workflow::HybridTask*> prep_cache_order_
       GUARDED_BY(prep_cache_mutex_);
-  mutable std::uint64_t prep_cache_fingerprint_ GUARDED_BY(prep_cache_mutex_) = 0;
+  /// The generation the cached preps were computed against.
+  mutable std::shared_ptr<const qpu::Fleet> prep_cache_fleet_ GUARDED_BY(prep_cache_mutex_);
   /// Registry counters (qon_prep_cache_{hits,misses}_total): lock-free
   /// relaxed increments on the prepare path, read coherently by snapshot().
   obs::Counter* prep_cache_hits_ = nullptr;

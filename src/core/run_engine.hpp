@@ -83,6 +83,8 @@ struct RunContinuation {
   std::vector<double> finish;           ///< per-node finish times (fleet clock)
   api::WorkflowResult result;           ///< accumulated execution report
   bool started = false;                 ///< kPending -> kRunning happened
+  /// Fleet-clock submit instant: no task of the run starts before it.
+  double submitted_at = 0.0;
 
   /// Per-run span ring, created at submit time by the orchestrator's
   /// tracer (null when tracing is off). Shares the continuation's

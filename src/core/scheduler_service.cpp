@@ -288,6 +288,11 @@ void SchedulerService::run_cycle(double fired_at, api::CycleTrigger fired_by) {
   const auto settled = [](const PendingQueue::Item& item) { return item->settled(); };
   batch.erase(std::remove_if(batch.begin(), batch.end(), settled), batch.end());
   overdue.erase(std::remove_if(overdue.begin(), overdue.end(), settled), overdue.end());
+  // Canonical order (highest class, then run id): queue order within a
+  // class depends on how engine workers' parks interleaved.
+  std::stable_sort(batch.begin(), batch.end(), [](const auto& a, const auto& b) {
+    return a->priority != b->priority ? a->priority > b->priority : a->run < b->run;
+  });
   if (batch.empty() && overdue.empty()) return;
   if (batch.empty()) {
     // Nothing to dispatch, but the cycle still happened: advance the

@@ -132,18 +132,4 @@ std::vector<std::string> SystemMonitor::qpu_names() const {
   return qpu_names_;
 }
 
-void SystemMonitor::set_workflow_status(std::uint64_t run_id, const std::string& status) {
-  MutexLock lock(mutex_);
-  put_unlocked("workflow/" + std::to_string(run_id) + "/status", status);
-}
-
-std::optional<std::string> SystemMonitor::workflow_status(std::uint64_t run_id) const {
-  MutexLock lock(mutex_);
-  return get_unlocked("workflow/" + std::to_string(run_id) + "/status");
-}
-
-void SystemMonitor::erase_workflow_status(std::uint64_t run_id) {
-  erase("workflow/" + std::to_string(run_id) + "/status");
-}
-
 }  // namespace qon::core

@@ -1,8 +1,8 @@
 #pragma once
-// System monitor (§4.1): the datastore persisting the complete system state
-// — worker/QPU static and dynamic information, workflow statuses and
-// results. Backed either by a plain local map (fast path for simulation)
-// or by the Raft-replicated KV store (2f+1 quorum, §4.1 fault tolerance).
+// System monitor (§4.1): the datastore persisting worker/QPU static and
+// dynamic information (run state lives in core::RunTable). Backed either by
+// a plain local map (fast path for simulation) or by the Raft-replicated KV
+// store (2f+1 quorum, §4.1 fault tolerance).
 
 #include <map>
 #include <memory>
@@ -62,13 +62,6 @@ class SystemMonitor {
   std::optional<bool> set_qpu_reserved(const std::string& name, bool reserved);
   std::optional<QpuInfo> qpu(const std::string& name) const;
   std::vector<std::string> qpu_names() const;
-
-  // -- workflow state ---------------------------------------------------------
-  void set_workflow_status(std::uint64_t run_id, const std::string& status);
-  std::optional<std::string> workflow_status(std::uint64_t run_id) const;
-  /// Drops a run's status record; called when the run table evicts the run
-  /// so the monitor's footprint stays bounded alongside it.
-  void erase_workflow_status(std::uint64_t run_id);
 
   bool replicated() const {
     // store_ is immutable after construction, but the lock keeps the

@@ -1,6 +1,6 @@
 #pragma once
 // QPU backends: a named device with a model (topology + basis gates), a
-// mutable calibration snapshot, and the static metadata the system monitor
+// calibration snapshot, and the static metadata the system monitor
 // publishes. Template backends average the calibration of all same-model
 // devices (§6 "QPU transpilation").
 
@@ -36,17 +36,16 @@ class Backend {
 
   const std::string& name() const { return name_; }
   const QpuModel& model() const { return *model_; }
-  std::shared_ptr<const QpuModel> model_ptr() const { return model_; }
   int num_qubits() const { return model_->topology.num_qubits(); }
   const Topology& topology() const { return model_->topology; }
 
   const CalibrationData& calibration() const { return calibration_; }
-  void set_calibration(CalibrationData cal) { calibration_ = std::move(cal); }
 
   /// The quality envelope this backend's calibrations are drawn from.
   const CalibrationProfile& profile() const { return profile_; }
 
   /// Advances one calibration cycle in place using the given drift process.
+  /// Shared backends are never advanced: Fleet::recalibrated copies first.
   void recalibrate(const CalibrationDrift& drift, Rng& rng, double timestamp);
 
  private:

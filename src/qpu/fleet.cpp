@@ -24,8 +24,13 @@ std::vector<Backend> Fleet::template_backends() const {
   return out;
 }
 
-void Fleet::recalibrate_all(Rng& rng, double timestamp) {
-  for (auto& b : backends) b->recalibrate(drift, rng, timestamp);
+Fleet Fleet::recalibrated(Rng& rng, double timestamp) const {
+  Fleet next = *this;
+  for (auto& b : next.backends) {
+    b = std::make_shared<Backend>(*b);
+    b->recalibrate(drift, rng, timestamp);
+  }
+  return next;
 }
 
 const std::vector<std::string>& ibm_device_names() {

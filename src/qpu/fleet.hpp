@@ -24,8 +24,10 @@ struct Fleet {
   /// One template backend per model, averaging current calibrations.
   std::vector<Backend> template_backends() const;
 
-  /// Advances every backend one calibration cycle.
-  void recalibrate_all(Rng& rng, double timestamp);
+  /// Copy-on-write recalibration: a fleet of fresh backend copies advanced
+  /// one calibration cycle. This fleet and its backends stay untouched, so
+  /// readers holding it keep a consistent calibration snapshot.
+  Fleet recalibrated(Rng& rng, double timestamp) const;
 };
 
 /// The paper's recurring IBM device names, in the order used by Fig. 8c.

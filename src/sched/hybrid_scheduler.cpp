@@ -32,6 +32,29 @@ PreprocessResult preprocess_jobs(const SchedulingInput& input) {
   return result;
 }
 
+int place_single_job(const std::vector<QpuState>& qpus, const QuantumJob& job,
+                     double default_weight) {
+  std::vector<int> fits;
+  std::vector<std::vector<double>> points;  // Eq. 1 objectives of a one-job batch
+  for (std::size_t q = 0; q < qpus.size(); ++q) {
+    if (qpus[q].online && job.qubits <= qpus[q].size && q < job.est_exec_seconds.size() &&
+        std::isfinite(job.est_exec_seconds[q])) {
+      fits.push_back(static_cast<int>(q));
+      points.push_back({qpus[q].queue_wait_seconds + job.est_exec_seconds[q],
+                        1.0 - job.est_fidelity[q]});
+    }
+  }
+  if (fits.empty()) return -1;
+  std::vector<std::vector<double>> front;
+  std::vector<int> front_qpus;
+  for (const std::size_t i : moo::non_dominated_indices(points)) {
+    front.push_back(points[i]);
+    front_qpus.push_back(fits[i]);
+  }
+  const double weight = job.fidelity_weight.value_or(default_weight);
+  return front_qpus[moo::select_by_pseudo_weight(front, {1.0 - weight, weight})];
+}
+
 ScheduleDecision schedule_cycle(const SchedulingInput& input, const SchedulerConfig& config) {
   if (config.fidelity_weight < 0.0 || config.fidelity_weight > 1.0) {
     throw std::invalid_argument("schedule_cycle: fidelity_weight must be in [0, 1]");

@@ -76,4 +76,12 @@ PreprocessResult preprocess_jobs(const SchedulingInput& input);
 /// Runs one full scheduling cycle.
 ScheduleDecision schedule_cycle(const SchedulingInput& input, const SchedulerConfig& config);
 
+/// Exact placement of ONE job, the same choice schedule_cycle makes for a
+/// one-job input without running a genetic algorithm: enumerates the online
+/// QPUs that fit, keeps the non-dominated (JCT, error) points and picks one
+/// by pseudo-weight MCDM with the job's fidelity weight (else
+/// `default_weight`). Returns the QPU index, or -1 when no QPU fits.
+int place_single_job(const std::vector<QpuState>& qpus, const QuantumJob& job,
+                     double default_weight);
+
 }  // namespace qon::sched

@@ -634,8 +634,10 @@ TEST(CampaignDropCounters, CycleHistoryEvictionIsCounted) {
     ASSERT_TRUE(task->error.ok()) << task->error.to_string();
   }
   EXPECT_EQ(service.stats().recent_cycles.size(), 1u);
-  const api::MetricValue* dropped = obs::find_metric(
-      telemetry.snapshot(0.0), "qon_sched_stats_cycles_dropped_total");
+  // find_metric points into the snapshot: keep it alive past the lookup.
+  const api::MetricsSnapshot snapshot = telemetry.snapshot(0.0);
+  const api::MetricValue* dropped =
+      obs::find_metric(snapshot, "qon_sched_stats_cycles_dropped_total");
   ASSERT_NE(dropped, nullptr);
   EXPECT_DOUBLE_EQ(dropped->value, 2.0);
 }

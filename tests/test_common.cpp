@@ -38,6 +38,20 @@ TEST(Rng, DifferentSeedsDiverge) {
   EXPECT_LT(equal, 4);
 }
 
+TEST(Rng, StreamsDependOnlyOnTheirKey) {
+  Rng a = Rng::stream(7, 3, 1);
+  Rng busy = Rng::stream(7, 3, 2);
+  for (int i = 0; i < 1000; ++i) busy();  // other streams' draws do not matter
+  Rng b = Rng::stream(7, 3, 1);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
+  // Each key component moves the stream.
+  const std::uint64_t first = Rng::stream(7, 3, 1)();
+  EXPECT_NE(Rng::stream(8, 3, 1)(), first);
+  EXPECT_NE(Rng::stream(7, 4, 1)(), first);
+  EXPECT_NE(Rng::stream(7, 3, 2)(), first);
+  EXPECT_NE(Rng::stream(7, 1, 3)(), first);
+}
+
 TEST(Rng, UniformInRange) {
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {

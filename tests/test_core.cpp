@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
+#include <vector>
+
 #include "circuit/library.hpp"
 #include "core/orchestrator.hpp"
 #include "core/system_monitor.hpp"
@@ -76,15 +82,6 @@ TEST(SystemMonitor, AtomicFlagSettersAndDynamicPublishCompose) {
   EXPECT_NEAR(read->queue_wait_seconds, 99.0, 1e-9);
   EXPECT_FALSE(read->online);    // health flip survived the republish
   EXPECT_TRUE(read->reserved);   // reservation survived the republish
-}
-
-TEST(SystemMonitor, WorkflowStatusRoundTrip) {
-  SystemMonitor monitor(false);
-  monitor.set_workflow_status(42, "running");
-  EXPECT_EQ(monitor.workflow_status(42).value_or(""), "running");
-  EXPECT_FALSE(monitor.workflow_status(43).has_value());
-  monitor.erase_workflow_status(42);
-  EXPECT_FALSE(monitor.workflow_status(42).has_value());
 }
 
 class OrchestratorFixture : public ::testing::Test {
@@ -282,13 +279,32 @@ TEST_F(OrchestratorFixture, UnknownRunIsNotFound) {
   EXPECT_EQ(info.status().code(), api::StatusCode::kNotFound);
 }
 
-TEST_F(OrchestratorFixture, MonitorTracksWorkflowStatus) {
+TEST_F(OrchestratorFixture, RunTableTracksTerminalStatus) {
   Qonductor orchestrator(small_config());
   const auto image = create(orchestrator, "tracked",
                             {workflow::HybridTask::classical("c", 0.1)});
   deploy(orchestrator, image);
   const auto result = invoke_and_wait(orchestrator, image);
-  EXPECT_EQ(orchestrator.monitor().workflow_status(result.run).value_or(""), "completed");
+  api::GetRunRequest request;
+  request.run = result.run;
+  const auto info = orchestrator.getRun(request);
+  ASSERT_TRUE(info.ok()) << info.status().to_string();
+  EXPECT_EQ(info->info.status, WorkflowStatus::kCompleted);
+}
+
+// Regression: the first task of a run used to start at virtual t = 0, not
+// at submission — a run invoked at fleet time 100 ran in the past.
+TEST_F(OrchestratorFixture, FirstTaskStartsAtOrAfterSubmission) {
+  Qonductor orchestrator(small_config());
+  const auto image = create(orchestrator, "late",
+                            {workflow::HybridTask::classical("pre", 2.0),
+                             workflow::HybridTask::classical("post", 1.0)});
+  deploy(orchestrator, image);
+  orchestrator.advanceFleetClock(100.0);
+  const auto result = invoke_and_wait(orchestrator, image);
+  ASSERT_EQ(result.tasks.size(), 2u);
+  EXPECT_GE(result.tasks[0].start, 100.0);
+  EXPECT_GE(result.tasks[1].start, result.tasks[0].end - 1e-9);
 }
 
 TEST_F(OrchestratorFixture, RunInfoTimestampsFollowTheFleetClock) {
@@ -341,6 +357,96 @@ TEST_F(OrchestratorFixture, ShutdownIsIdempotentAndKeepsQueriesWorking) {
   auto rejected = orchestrator.invoke(invoke_request);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), api::StatusCode::kUnavailable);
+}
+
+/// Invokes `runs` runs of a one-task GHZ image as ONE threshold-sized
+/// invokeAll group on three engine workers, trajectory-simulated, and
+/// returns their results in run order. `during` runs on another thread
+/// while the group executes and is told to stop once every run settled.
+std::vector<api::WorkflowResult> run_trajectory_group(
+    QonductorConfig config, std::size_t runs, std::size_t groups,
+    const std::function<void(Qonductor&, const std::atomic<bool>&)>& during = {}) {
+  config.executor_threads = 3;
+  config.scheduler_service.queue_threshold = runs;
+  // Only the threshold fires cycles: a linger-timer cycle on a partly
+  // parked group would make batch membership timing-dependent.
+  config.scheduler_service.linger = std::chrono::milliseconds(60000);
+  Qonductor orchestrator(config);
+  api::CreateWorkflowRequest create;
+  create.name = "ghz";
+  create.tasks.push_back(workflow::HybridTask::quantum("ghz", circuit::ghz(5), 1000));
+  const auto image = orchestrator.createWorkflow(std::move(create));
+  EXPECT_TRUE(image.ok());
+  api::DeployRequest deploy;
+  deploy.image = image->image;
+  EXPECT_TRUE(orchestrator.deploy(deploy).ok());
+
+  std::atomic<bool> stop{false};
+  std::thread side;
+  if (during) side = std::thread([&] { during(orchestrator, stop); });
+  std::vector<api::WorkflowResult> results;
+  for (std::size_t g = 0; g < groups; ++g) {
+    std::vector<api::InvokeRequest> requests(runs);
+    for (auto& request : requests) request.image = image->image;
+    auto handles = orchestrator.invokeAll(requests);
+    EXPECT_TRUE(handles.ok()) << handles.status().to_string();
+    if (!handles.ok()) break;
+    for (auto& handle : *handles) {
+      auto result = handle.result();
+      EXPECT_TRUE(result.ok()) << result.status().to_string();
+      if (result.ok()) results.push_back(*std::move(result));
+    }
+  }
+  stop.store(true);
+  if (side.joinable()) side.join();
+  return results;
+}
+
+// Same seed, same submissions, three racing engine workers: every run must
+// land on the same QPU and measure the same counts and fidelity. Execution
+// draws from a per-task stream, not a shared generator, and a cycle orders
+// its batch canonically, so no outcome depends on worker interleaving.
+TEST_F(OrchestratorFixture, SameSeedOutcomesDoNotDependOnWorkerInterleaving) {
+  constexpr std::size_t kRuns = 24;
+  const auto first = run_trajectory_group(small_config(), kRuns, 1);
+  const auto second = run_trajectory_group(small_config(), kRuns, 1);
+  ASSERT_EQ(first.size(), kRuns);
+  ASSERT_EQ(second.size(), kRuns);
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    ASSERT_EQ(first[i].status, WorkflowStatus::kCompleted);
+    ASSERT_EQ(first[i].tasks.size(), 1u);
+    ASSERT_EQ(second[i].tasks.size(), 1u);
+    const TaskResult& a = first[i].tasks[0];
+    const TaskResult& b = second[i].tasks[0];
+    EXPECT_EQ(first[i].run, second[i].run);
+    EXPECT_EQ(a.resource, b.resource) << "run " << first[i].run;
+    EXPECT_EQ(a.counts, b.counts) << "run " << first[i].run;
+    EXPECT_EQ(a.fidelity, b.fidelity) << "run " << first[i].run;
+  }
+}
+
+// Recalibration publishes a new calibration generation while executions,
+// preps and the health probe read the current one — TSAN-targeted: three
+// workers trajectory-simulate while another thread recalibrates in a loop.
+TEST_F(OrchestratorFixture, RecalibrationRacesTrajectoryExecution) {
+  std::atomic<int> recalibrations{0};
+  const auto results = run_trajectory_group(
+      small_config(), 12, 4, [&](Qonductor& orchestrator, const std::atomic<bool>& stop) {
+        while (!stop.load()) {
+          orchestrator.recalibrateFleet();
+          ++recalibrations;
+          EXPECT_TRUE(orchestrator.getHealth().ok());
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      });
+  ASSERT_EQ(results.size(), 48u);
+  for (const auto& result : results) {
+    EXPECT_EQ(result.status, WorkflowStatus::kCompleted);
+    ASSERT_EQ(result.tasks.size(), 1u);
+    EXPECT_GE(result.tasks[0].fidelity, 0.0);
+    EXPECT_LE(result.tasks[0].fidelity, 1.0);
+  }
+  EXPECT_GT(recalibrations.load(), 0);
 }
 
 }  // namespace

@@ -99,8 +99,11 @@ TEST(Integration, OrchestratorWithReplicatedMonitor) {
   const auto handle = qonductor.invoke(invoke_request);
   ASSERT_TRUE(handle.ok()) << handle.status().to_string();
   EXPECT_EQ(handle->wait(), core::WorkflowStatus::kCompleted);
-  // The status was committed through the Raft-backed store.
-  EXPECT_EQ(qonductor.monitor().workflow_status(handle->id()).value_or(""), "completed");
+  api::GetRunRequest get_request;
+  get_request.run = handle->id();
+  const auto run_info = qonductor.getRun(get_request);
+  ASSERT_TRUE(run_info.ok()) << run_info.status().to_string();
+  EXPECT_EQ(run_info->info.status, core::WorkflowStatus::kCompleted);
   // Fleet state is readable back from the replicated monitor.
   const auto info = qonductor.monitor().qpu(qonductor.fleet().backends[0]->name());
   ASSERT_TRUE(info.has_value());

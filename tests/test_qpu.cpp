@@ -207,13 +207,18 @@ TEST(Fleet, TemplateBackendAveragesCalibrations) {
   EXPECT_NEAR(tmpl.calibration().mean_gate_error_2q(), expected, 1e-12);
 }
 
-TEST(Fleet, RecalibrateAllAdvancesEveryBackend) {
-  auto fleet = make_ibm_like_fleet(3, 37);
+TEST(Fleet, RecalibratedAdvancesEveryBackendCopy) {
+  const auto fleet = make_ibm_like_fleet(3, 37);
   Rng rng(41);
-  fleet.recalibrate_all(rng, 7200.0);
-  for (const auto& b : fleet.backends) {
-    EXPECT_EQ(b->calibration().cycle, 1u);
-    EXPECT_DOUBLE_EQ(b->calibration().timestamp, 7200.0);
+  const auto next = fleet.recalibrated(rng, 7200.0);
+  ASSERT_EQ(next.backends.size(), fleet.backends.size());
+  for (std::size_t i = 0; i < next.backends.size(); ++i) {
+    EXPECT_EQ(next.backends[i]->calibration().cycle, 1u);
+    EXPECT_DOUBLE_EQ(next.backends[i]->calibration().timestamp, 7200.0);
+    EXPECT_EQ(next.backends[i]->name(), fleet.backends[i]->name());
+    // Copy-on-write: the published generation is left untouched.
+    EXPECT_NE(next.backends[i], fleet.backends[i]);
+    EXPECT_EQ(fleet.backends[i]->calibration().cycle, 0u);
   }
 }
 

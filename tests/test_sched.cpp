@@ -244,6 +244,38 @@ TEST(Scheduler, UniformPerJobWeightMatchesCycleGlobalWeight) {
   EXPECT_DOUBLE_EQ(a.chosen.mean_jct, b.chosen.mean_jct);
 }
 
+// A one-job cycle is a one-variable problem: exact enumeration must pick
+// the QPU the full NSGA-II + MCDM cycle picks, on any fleet.
+TEST(Scheduler, SingleJobPlacementMatchesScheduleCycle) {
+  for (std::uint64_t trial = 0; trial < 300; ++trial) {
+    Rng rng(9000 + trial);
+    SchedulingInput input;
+    const auto num_qpus = static_cast<std::size_t>(rng.uniform_int(2, 8));
+    QuantumJob job;
+    job.id = trial;
+    job.qubits = static_cast<int>(rng.uniform_int(2, 20));
+    if (rng.bernoulli(0.7)) job.fidelity_weight = rng.uniform();
+    for (std::size_t q = 0; q < num_qpus; ++q) {
+      QpuState qpu;
+      qpu.name = "q" + std::to_string(q);
+      qpu.size = rng.bernoulli(0.8) ? 27 : 7;
+      qpu.queue_wait_seconds = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 600.0);
+      qpu.online = rng.bernoulli(0.85);
+      input.qpus.push_back(qpu);
+      job.est_fidelity.push_back(rng.uniform(0.4, 0.99));
+      job.est_exec_seconds.push_back(rng.uniform(1.0, 120.0));
+    }
+    input.jobs.push_back(job);
+    SchedulerConfig config;
+    config.fidelity_weight = rng.uniform();
+    config.nsga2.seed = trial;
+    const auto decision = schedule_cycle(input, config);
+    EXPECT_EQ(place_single_job(input.qpus, job, config.fidelity_weight),
+              decision.assignment[0])
+        << "trial " << trial;
+  }
+}
+
 TEST(Scheduler, FiltersJobsThatFitNowhere) {
   auto input = make_input(10, 2, 17);
   input.jobs[3].qubits = 100;  // fits nothing
