@@ -79,8 +79,12 @@ TEST(RunEngine, OneWorkerParksManyRunsAndResumesThemAll) {
   }
   // With a single worker every run must reach its park: wait for that.
   for (int i = 0; i < 5000; ++i) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (parked.size() == kRuns) break;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (parked.size() == kRuns) break;
+    }
+    // Sleep with the mutex released: std::mutex is not fair, and a poller
+    // that re-locks right after waking can starve the worker for seconds.
     std::this_thread::sleep_for(1ms);
   }
   {
@@ -115,8 +119,10 @@ TEST(RunEngine, ShutdownRejectsNewSubmissionsButDrainsLiveRuns) {
   });
   ASSERT_TRUE(engine.submit(std::make_shared<RunContinuation>()));
   for (int i = 0; i < 5000; ++i) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (parked) break;
+    {
+      std::lock_guard<std::mutex> lock(mutex);  // released before the sleep
+      if (parked) break;
+    }
     std::this_thread::sleep_for(1ms);
   }
   ASSERT_NE(parked, nullptr);
