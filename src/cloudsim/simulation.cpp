@@ -116,18 +116,18 @@ SimulationResult run_cloud_simulation(const CloudSimConfig& config) {
 
   std::vector<std::unique_ptr<QpuWorker>> workers;
   for (std::size_t q = 0; q < fleet.backends.size(); ++q) {
-    const auto& backend = fleet.backends[q];
-    result.qpu_names.push_back(backend->name());
+    result.qpu_names.push_back(fleet.backends[q]->name());
     workers.push_back(std::make_unique<QpuWorker>(
-        backend->name(), &events,
-        [&, q, backend](const QpuJob& job, double start, double end) {
+        fleet.backends[q]->name(), &events,
+        [&, q](const QpuJob& job, double start, double end) {
           auto& p = prepared[by_id.at(job.app_id)];
           p.record.start = start;
           p.record.quantum_done = end;
           p.record.quantum_exec_seconds = job.exec_seconds;
+          // Read through the fleet: recalibration swaps in new backends.
           p.record.measured_fidelity = estimator::executed_fidelity(
-              p.transpiled.circuit, *backend, p.signature, hidden, config.crosstalk_factor,
-              p.app.shots, rng);
+              p.transpiled.circuit, *fleet.backends[q], p.signature, hidden,
+              config.crosstalk_factor, p.app.shots, rng);
           // Classical post-processing completes the application; the node
           // pool has effectively unlimited capacity (paper: classical waits
           // are ~0), so it adds processing time only.

@@ -58,22 +58,23 @@ Qonductor::Qonductor(QonductorConfig config)
     : config_(config),
       rng_(config.seed),
       hidden_(config.seed ^ 0x9d17ULL, config.hidden_sigma),
-      fleet_(qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL)),
       nodes_(sched::make_node_pool(config.classical_standard_nodes,
                                    config.classical_highend_nodes,
                                    config.classical_fpga_nodes)),
       monitor_(config.replicated_monitor),
       run_table_(config.retention),
       telemetry_(config.telemetry) {
-  templates_ = fleet_.template_backends();
+  auto fleet = std::make_shared<const qpu::Fleet>(
+      qpu::make_ibm_like_fleet(config.num_qpus, config.seed ^ 0xf1ee7ULL));
+  templates_ = fleet->template_backends();
   {
     // Construction is single-threaded, but qpu_available_at_ and the fleet
     // publish are engine-guarded state: taking the (uncontended) engine
     // lock keeps the guarded_by/REQUIRES contract true at every call site
     // instead of carving out a trust-me exception for the constructor.
     MutexLock lock(engine_mutex_);
-    qpu_available_at_.assign(fleet_.backends.size(), 0.0);
-    publish_fleet_locked(std::make_shared<const qpu::Fleet>(fleet_));
+    qpu_available_at_.assign(fleet->backends.size(), 0.0);
+    publish_fleet_locked(std::move(fleet));
   }
 
   // Registry instruments, registered family-by-family so the Prometheus
@@ -184,12 +185,13 @@ Qonductor::Qonductor(QonductorConfig config)
       api::ComponentHealth verdict;
       std::size_t online = 0;
       std::size_t reserved = 0;
-      for (const auto& backend : fleet_.backends) {
+      const auto fleet = current_fleet();
+      for (const auto& backend : fleet->backends) {
         const auto qpu = monitor_.qpu(backend->name());
         if (qpu && qpu->reserved) ++reserved;
         if (qpu && qpu->online && !qpu->reserved) ++online;
       }
-      const std::size_t total = fleet_.backends.size();
+      const std::size_t total = fleet->backends.size();
       verdict.detail = std::to_string(online) + "/" + std::to_string(total) +
                        " QPUs schedulable (" + std::to_string(reserved) +
                        " reserved)";
@@ -290,11 +292,12 @@ void Qonductor::publish_qpu_locked(std::size_t q, const qpu::Fleet& fleet) {
 std::vector<sched::QpuState> Qonductor::snapshot_qpu_states_locked(
     double reference) const {
   std::vector<sched::QpuState> states;
-  states.reserve(fleet_.backends.size());
-  for (std::size_t q = 0; q < fleet_.backends.size(); ++q) {
+  const auto fleet = current_fleet();
+  states.reserve(fleet->backends.size());
+  for (std::size_t q = 0; q < fleet->backends.size(); ++q) {
     sched::QpuState state;
-    state.name = fleet_.backends[q]->name();
-    state.size = fleet_.backends[q]->num_qubits();
+    state.name = fleet->backends[q]->name();
+    state.size = fleet->backends[q]->num_qubits();
     state.queue_wait_seconds = std::max(0.0, qpu_available_at_[q] - reference);
     // A QPU is schedulable only when healthy AND not reserved (§7).
     const QpuInfo info = monitor_.qpu(state.name).value_or(QpuInfo{});
@@ -346,7 +349,7 @@ api::Result<api::DeployResponse> Qonductor::deploy(const api::DeployRequest& req
     const auto& task = img->dag.task(t);
     if (task.kind != workflow::TaskKind::kQuantum) continue;
     bool fits = false;
-    for (const auto& backend : fleet_.backends) {
+    for (const auto& backend : current_fleet()->backends) {
       if (task.circ.num_qubits() <= backend->num_qubits()) fits = true;
     }
     if (!fits) {
@@ -1324,13 +1327,17 @@ api::Result<TaskResult> Qonductor::run_quantum_immediate(
             std::to_string(dispatch_at) + " s)");
       }
     }
+    sched::SchedulingInput input;
+    input.qpus = snapshot_qpu_states_locked(ready_at);
     sched::QuantumJob job;
+    job.id = state->id;
     job.qubits = task.circ.num_qubits();
     job.fidelity_weight = prefs.fidelity_weight;  // resolved at invoke()
     job.est_fidelity = prep->est_fidelity;
     job.est_exec_seconds = prep->est_exec_seconds;
-    const int q = sched::place_single_job(snapshot_qpu_states_locked(ready_at), job,
-                                          config_.fidelity_weight);
+    input.jobs.push_back(std::move(job));
+    // A one-job cycle places by exact enumeration: no NSGA-II seed to draw.
+    const int q = generateSchedule(input).assignment[0];
     if (q < 0) {
       return api::ResourceExhausted("run_quantum_immediate: task '" + task.name +
                                     "' fits no online QPU in the fleet");

@@ -272,10 +272,10 @@ class Qonductor {
   sched::ScheduleDecision generateSchedule(const sched::SchedulingInput& input) const;
 
   // -- introspection -------------------------------------------------------------
-  /// The construction-time fleet: backend names, sizes and topology, which
-  /// every calibration generation shares. recalibrateFleet() publishes a
-  /// new generation instead of mutating this one.
-  const qpu::Fleet& fleet() const { return fleet_; }
+  /// A copy of the current calibration generation. It shares that
+  /// generation's immutable backends, so it stays valid and consistent
+  /// across later recalibrateFleet() calls, which publish a new generation.
+  qpu::Fleet fleet() const { return *current_fleet(); }
   SystemMonitor& monitor() { return monitor_; }
   const std::vector<sched::ClassicalNode>& nodes() const { return nodes_; }
   /// The run table backing getRun/listRuns (eviction counters, sweep()).
@@ -414,8 +414,6 @@ class Qonductor {
   /// Immutable after construction (factor() is a pure function of its
   /// arguments), so executions read it concurrently without a lock.
   const sim::HiddenNoise hidden_;
-  /// Never mutated after construction; see fleet().
-  qpu::Fleet fleet_;
   /// The current calibration generation: recalibrateFleet() swaps in a new
   /// fleet of fresh backends; a published one is never mutated.
   mutable Mutex fleet_mutex_{LockRank::kFleetGeneration, "Qonductor::fleet_mutex_"};

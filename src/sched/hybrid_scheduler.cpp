@@ -32,29 +32,6 @@ PreprocessResult preprocess_jobs(const SchedulingInput& input) {
   return result;
 }
 
-int place_single_job(const std::vector<QpuState>& qpus, const QuantumJob& job,
-                     double default_weight) {
-  std::vector<int> fits;
-  std::vector<std::vector<double>> points;  // Eq. 1 objectives of a one-job batch
-  for (std::size_t q = 0; q < qpus.size(); ++q) {
-    if (qpus[q].online && job.qubits <= qpus[q].size && q < job.est_exec_seconds.size() &&
-        std::isfinite(job.est_exec_seconds[q])) {
-      fits.push_back(static_cast<int>(q));
-      points.push_back({qpus[q].queue_wait_seconds + job.est_exec_seconds[q],
-                        1.0 - job.est_fidelity[q]});
-    }
-  }
-  if (fits.empty()) return -1;
-  std::vector<std::vector<double>> front;
-  std::vector<int> front_qpus;
-  for (const std::size_t i : moo::non_dominated_indices(points)) {
-    front.push_back(points[i]);
-    front_qpus.push_back(fits[i]);
-  }
-  const double weight = job.fidelity_weight.value_or(default_weight);
-  return front_qpus[moo::select_by_pseudo_weight(front, {1.0 - weight, weight})];
-}
-
 ScheduleDecision schedule_cycle(const SchedulingInput& input, const SchedulerConfig& config) {
   if (config.fidelity_weight < 0.0 || config.fidelity_weight > 1.0) {
     throw std::invalid_argument("schedule_cycle: fidelity_weight must be in [0, 1]");
@@ -80,17 +57,38 @@ ScheduleDecision schedule_cycle(const SchedulingInput& input, const SchedulerCon
   // ---- stage (b): multi-objective optimization ----------------------------
   sw.reset();
   const SchedulingProblem problem(pre.compact);
-  // Seed NSGA-II with the heuristic extremes so the front always covers the
-  // best-fidelity and least-busy corners of the objective space.
-  auto nsga2_config = config.nsga2;
-  nsga2_config.initial_genomes.push_back(assign_best_fidelity_fcfs(pre.compact));
-  nsga2_config.initial_genomes.push_back(assign_least_busy(pre.compact));
-  const auto result = moo::nsga2(problem, nsga2_config);
+  moo::Nsga2Result result;
+  if (pre.compact.jobs.size() == 1) {
+    // One job is one variable over the QPUs: enumerate every feasible
+    // placement and keep the exact front, sorted like NSGA-II's.
+    std::vector<moo::Solution> all;
+    std::vector<std::vector<double>> objectives;
+    for (const int q : problem.feasible_qpus(0)) {
+      all.push_back({{q}, {}});
+      problem.evaluate(all.back().genome, all.back().objectives);
+      objectives.push_back(all.back().objectives);
+    }
+    for (const std::size_t i : moo::non_dominated_indices(objectives)) {
+      result.front.push_back(std::move(all[i]));
+    }
+    std::stable_sort(result.front.begin(), result.front.end(),
+                     [](const moo::Solution& a, const moo::Solution& b) {
+                       return a.objectives[0] < b.objectives[0];
+                     });
+    result.evaluations = all.size();
+  } else {
+    // Seed NSGA-II with the heuristic extremes so the front always covers
+    // the best-fidelity and least-busy corners of the objective space.
+    auto nsga2_config = config.nsga2;
+    nsga2_config.initial_genomes.push_back(assign_best_fidelity_fcfs(pre.compact));
+    nsga2_config.initial_genomes.push_back(assign_least_busy(pre.compact));
+    result = moo::nsga2(problem, nsga2_config);
+  }
   decision.optimize_seconds = sw.seconds();
   decision.nsga2_generations = result.generations;
   decision.nsga2_evaluations = result.evaluations;
   if (result.front.empty()) {
-    throw std::logic_error("schedule_cycle: NSGA-II returned an empty front");
+    throw std::logic_error("schedule_cycle: the optimizer returned an empty front");
   }
 
   // ---- stage (c): MCDM selection -------------------------------------------

@@ -1,7 +1,8 @@
 #pragma once
 // The Qonductor hybrid scheduler (§7, Fig. 5): three stages —
 //   (a) job pre-processing: filter infeasible jobs, gather estimates;
-//   (b) optimization: NSGA-II over Eq. 1 produces a Pareto front;
+//   (b) optimization: NSGA-II over Eq. 1 produces a Pareto front (a
+//       one-job cycle enumerates its QPUs for the exact front instead);
 //   (c) selection: pseudo-weight MCDM. With a uniform preference the whole
 //       batch takes one Pareto-optimal schedule; jobs carrying their own
 //       QuantumJob::fidelity_weight each take their placement from the
@@ -73,15 +74,8 @@ struct PreprocessResult {
 };
 PreprocessResult preprocess_jobs(const SchedulingInput& input);
 
-/// Runs one full scheduling cycle.
+/// Runs one full scheduling cycle. A one-job cycle never runs NSGA-II, so
+/// `config.nsga2` (seed included) does not affect it.
 ScheduleDecision schedule_cycle(const SchedulingInput& input, const SchedulerConfig& config);
-
-/// Exact placement of ONE job, the same choice schedule_cycle makes for a
-/// one-job input without running a genetic algorithm: enumerates the online
-/// QPUs that fit, keeps the non-dominated (JCT, error) points and picks one
-/// by pseudo-weight MCDM with the job's fidelity weight (else
-/// `default_weight`). Returns the QPU index, or -1 when no QPU fits.
-int place_single_job(const std::vector<QpuState>& qpus, const QuantumJob& job,
-                     double default_weight);
 
 }  // namespace qon::sched

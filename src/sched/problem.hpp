@@ -32,6 +32,9 @@ class SchedulingProblem : public moo::IntegerProblem {
 
   const SchedulingInput& input() const { return *input_; }
 
+  /// QPU indices job `job` can run on, ascending.
+  const std::vector<int>& feasible_qpus(std::size_t job) const { return feasible_[job]; }
+
  private:
   bool feasible_on(std::size_t job, int qpu) const;
 

@@ -246,7 +246,7 @@ TEST(Scheduler, UniformPerJobWeightMatchesCycleGlobalWeight) {
 
 // A one-job cycle is a one-variable problem: exact enumeration must pick
 // the QPU the full NSGA-II + MCDM cycle picks, on any fleet.
-TEST(Scheduler, SingleJobPlacementMatchesScheduleCycle) {
+TEST(Scheduler, OneJobCycleMatchesNsga2AndMcdm) {
   for (std::uint64_t trial = 0; trial < 300; ++trial) {
     Rng rng(9000 + trial);
     SchedulingInput input;
@@ -270,9 +270,29 @@ TEST(Scheduler, SingleJobPlacementMatchesScheduleCycle) {
     config.fidelity_weight = rng.uniform();
     config.nsga2.seed = trial;
     const auto decision = schedule_cycle(input, config);
-    EXPECT_EQ(place_single_job(input.qpus, job, config.fidelity_weight),
-              decision.assignment[0])
-        << "trial " << trial;
+    EXPECT_EQ(decision.nsga2_generations, 0U) << "trial " << trial;
+
+    // Reference: the genetic search the one-job cycle replaces, run
+    // directly on the same problem, then the same MCDM selection.
+    const auto pre = preprocess_jobs(input);
+    if (pre.compact.jobs.empty()) {
+      EXPECT_EQ(decision.assignment[0], -1) << "trial " << trial;
+      continue;
+    }
+    const SchedulingProblem problem(pre.compact);
+    auto nsga2_config = config.nsga2;
+    nsga2_config.initial_genomes.push_back(assign_best_fidelity_fcfs(pre.compact));
+    nsga2_config.initial_genomes.push_back(assign_least_busy(pre.compact));
+    const auto reference = moo::nsga2(problem, nsga2_config);
+    const double weight = job.fidelity_weight.value_or(config.fidelity_weight);
+    const std::size_t pick =
+        moo::select_by_pseudo_weight(reference.front, {1.0 - weight, weight});
+    EXPECT_EQ(reference.front[pick].genome[0], decision.assignment[0]) << "trial " << trial;
+    ASSERT_EQ(reference.front.size(), decision.pareto_front.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < reference.front.size(); ++i) {
+      EXPECT_EQ(reference.front[i].objectives[0], decision.pareto_front[i].mean_jct);
+      EXPECT_EQ(reference.front[i].objectives[1], decision.pareto_front[i].mean_error);
+    }
   }
 }
 
